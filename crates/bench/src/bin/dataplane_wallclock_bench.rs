@@ -2,15 +2,16 @@
 //!
 //! Where `dataplane_bench` measures *virtual* (cost-model) Mpps, this
 //! binary measures the real thing: packets per wall-clock second through
-//! the scalar executor (baseline) and the batch pipeline
-//! ([`sailfish_dataplane::batch::BatchExecutor`]), cold and steady-state,
-//! single- and multi-worker — with a counting global allocator proving
-//! the steady-state hot path performs **zero heap allocations per
-//! packet**.
+//! the batch pipeline ([`sailfish_dataplane::batch::BatchExecutor`]),
+//! cold (`Dataplane::run_single`, a fresh executor) and steady-state (a
+//! warm executor), single- and multi-worker — with a counting global
+//! allocator proving the steady-state hot path performs **zero heap
+//! allocations per packet**.
 //!
-//! The virtual model stays the determinism oracle: every mode must
-//! produce the exact decision digest of the scalar single-worker run,
-//! and the digests (not the timings) are written to
+//! The cold single-worker run is the determinism reference: every warm
+//! and multi-worker mode must produce its exact decision digest, and a
+//! warm executor reset with `reset_caches` must reproduce its counters.
+//! The digests (not the timings) are written to
 //! `experiments/wallclock_digest.json`, which CI gates byte-identical
 //! across two runs. Timings land in `BENCH_wallclock.json`, which CI
 //! checks only against a conservative floor and uploads as an artifact.
@@ -98,28 +99,23 @@ fn main() {
     let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();
     let dp = Dataplane::build(&topology, DataplaneConfig::default());
 
-    // Baseline: the scalar executor, per-packet function calls, sharded
-    // no-evict cache, owned-packet parser.
-    let mut fb_scalar = software_forwarder(&topology);
-    let t = Instant::now();
-    let scalar = dp.run_single(&seq, &mut fb_scalar);
-    let scalar_secs = t.elapsed().as_secs_f64();
-
-    // Batch pipeline, cold cache: every flow takes the full table walk
-    // once. This is the run that must reproduce the scalar report.
-    let mut batch = BatchExecutor::new(&dp, 1);
+    // Cold reference: `run_single` builds a fresh single-worker
+    // executor, so every flow takes the full table walk once.
     let mut fb_cold = software_forwarder(&topology);
     let t = Instant::now();
-    let cold = batch.run(&dp, &seq, &mut fb_cold);
+    let cold = dp.run_single(&seq, &mut fb_cold);
     let cold_secs = t.elapsed().as_secs_f64();
 
-    // Steady state: the cache is warm (the realistic regime — flow count
-    // sits far below cache capacity, like the paper's gateway fleet) and
-    // every buffer has its high-water capacity. The execute window is
-    // the measured, allocation-gated hot path; punt resolution and
-    // report assembly happen outside it, identically for every mode.
+    // Steady state: after one untimed warm-up run the cache is warm (the
+    // realistic regime — flow count sits far below cache capacity, like
+    // the paper's gateway fleet) and every buffer has its high-water
+    // capacity. The execute window is the measured, allocation-gated hot
+    // path; punt resolution and report assembly happen outside it,
+    // identically for every mode.
     // Best-of-N wall time guards the CI floor against scheduler noise;
     // the allocation gate covers every trial, not just the best one.
+    let mut batch = BatchExecutor::new(&dp, 1);
+    batch.execute(&dp, &seq);
     let allocs_before = allocation_count();
     let mut steady_secs = f64::INFINITY;
     for _ in 0..STEADY_TRIALS {
@@ -130,6 +126,12 @@ fn main() {
     let steady_allocs = allocation_count() - allocs_before;
     let mut fb_steady = software_forwarder(&topology);
     let steady = batch.finish(&seq, &mut fb_steady);
+
+    // A warm executor whose caches are reset must report exactly what
+    // the cold reference does: no per-run state survives a run.
+    batch.reset_caches();
+    let mut fb_reset = software_forwarder(&topology);
+    let reset = batch.run(&dp, &seq, &mut fb_reset);
 
     // Multi-worker scaling: flow-entropy partitioning across scoped
     // threads, one pipeline (and cache) per worker. Thread spawns
@@ -146,11 +148,11 @@ fn main() {
     let mut fb_msteady = software_forwarder(&topology);
     let multi_steady = batch_multi.finish(&seq, &mut fb_msteady);
 
-    // ── Determinism oracle ─────────────────────────────────────────────
-    let digest = scalar.decision_digest;
+    // ── Determinism reference ──────────────────────────────────────────
+    let digest = cold.decision_digest;
     let modes: &[(&str, &RunReport)] = &[
-        ("batch-cold", &cold),
         ("batch-steady", &steady),
+        ("batch-reset", &reset),
         ("batch-multi-cold", &multi_cold),
         ("batch-multi-steady", &multi_steady),
     ];
@@ -158,18 +160,18 @@ fn main() {
     for (name, report) in modes {
         if report.decision_digest != digest {
             eprintln!(
-                "DIGEST MISMATCH: {name} {:016x} != scalar {digest:016x}",
+                "DIGEST MISMATCH: {name} {:016x} != cold {digest:016x}",
                 report.decision_digest
             );
             ok = false;
         }
-        if report.epoch_digests != scalar.epoch_digests {
+        if report.epoch_digests != cold.epoch_digests {
             eprintln!("EPOCH DIGEST MISMATCH: {name}");
             ok = false;
         }
     }
-    if cold.counters != scalar.counters {
-        eprintln!("COUNTER MISMATCH: batch-cold vs scalar");
+    if reset.counters != cold.counters {
+        eprintln!("COUNTER MISMATCH: batch-reset vs cold");
         ok = false;
     }
     if steady_allocs != 0 {
@@ -177,11 +179,10 @@ fn main() {
         ok = false;
     }
 
-    let scalar_mpps = mpps(scalar.packets, scalar_secs);
     let cold_mpps = mpps(cold.packets, cold_secs);
     let steady_mpps = mpps(steady.packets, steady_secs);
     let multi_mpps = mpps(multi_steady.packets, multi_secs);
-    let speedup = steady_mpps / scalar_mpps.max(1e-12);
+    let steady_vs_cold = steady_mpps / cold_mpps.max(1e-12);
     let scaling = multi_mpps / steady_mpps.max(1e-12);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -189,13 +190,6 @@ fn main() {
         "Wall-clock dataplane throughput",
         &["Mode", "Workers", "Wall Mpps", "Virtual Mpps", "Allocs/pkt"],
         &[
-            vec![
-                "scalar".into(),
-                "1".into(),
-                format!("{scalar_mpps:.3}"),
-                format!("{:.3}", scalar.virtual_mpps()),
-                "-".into(),
-            ],
             vec![
                 "batch cold".into(),
                 "1".into(),
@@ -220,7 +214,7 @@ fn main() {
         ],
     );
     println!(
-        "speedup: batch steady vs scalar {speedup:.2}x, multi vs single {scaling:.2}x \
+        "speedup: batch steady vs cold {steady_vs_cold:.2}x, multi vs single {scaling:.2}x \
          ({cores} cores available)"
     );
 
@@ -256,7 +250,7 @@ fn main() {
             "comparisons".to_string(),
             Json::Array(vec![
                 comparison(
-                    "decision digest across scalar/cold/steady/multi",
+                    "decision digest across cold/steady/reset/multi",
                     "identical",
                     format!("{digest:016x}"),
                     modes_agree,
@@ -270,7 +264,7 @@ fn main() {
                 comparison(
                     "fallback packets (seeded workload)",
                     "deterministic",
-                    format!("{}", scalar.fallback_packets),
+                    format!("{}", cold.fallback_packets),
                     true,
                 ),
             ]),
@@ -292,12 +286,14 @@ fn main() {
         ("tiny".to_string(), Json::from(tiny)),
         ("packets".to_string(), Json::from(seq.len())),
         ("cores_available".to_string(), Json::from(cores)),
-        ("scalar_mpps".to_string(), Json::from(round3(scalar_mpps))),
         ("batch_cold_mpps".to_string(), Json::from(round3(cold_mpps))),
         ("steady_mpps".to_string(), Json::from(round3(steady_mpps))),
         ("multi_mpps".to_string(), Json::from(round3(multi_mpps))),
         ("multi_workers".to_string(), Json::from(MULTI_WORKERS)),
-        ("speedup_vs_scalar".to_string(), Json::from(round3(speedup))),
+        (
+            "steady_vs_cold".to_string(),
+            Json::from(round3(steady_vs_cold)),
+        ),
         ("multi_scaling".to_string(), Json::from(round3(scaling))),
         (
             "steady_allocs_per_packet".to_string(),
@@ -313,23 +309,23 @@ fn main() {
     // allocation gate), so experiments/wallclock.json stays stable too.
     let mut rec = ExperimentRecord::new(
         "wallclock",
-        "Zero-allocation batch pipeline vs scalar executor (wall clock)",
+        "Zero-allocation batch pipeline, cold vs warm (wall clock)",
     );
     rec.compare(
-        "decision digest identical across scalar/batch/steady/multi",
+        "decision digest identical across cold/steady/reset/multi",
         "all modes equal",
         format!("{digest:016x}"),
         modes_agree,
     );
     rec.compare(
-        "cold batch reproduces scalar counters",
+        "reset warm executor reproduces cold run_single counters",
         "equal",
-        if cold.counters == scalar.counters {
+        if reset.counters == cold.counters {
             "equal".to_string()
         } else {
             "diverged".to_string()
         },
-        cold.counters == scalar.counters,
+        reset.counters == cold.counters,
     );
     rec.compare(
         "steady-state heap allocations",

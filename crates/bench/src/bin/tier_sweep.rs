@@ -10,9 +10,10 @@
 //!    latency strictly beats the two-tier one, the exact three-tier
 //!    accounting identity holds, and killing the pool collapses
 //!    gracefully back to the two-tier baseline count for count.
-//! 2. **Executor parity** — scalar vs batch vs multi-worker runs with
-//!    the tier layer active and a node dead: byte-identical decision
-//!    digests and counter fingerprints.
+//! 2. **Executor parity** — a cold run vs an executor warmed on the
+//!    prior epoch vs a multi-worker run, with the tier layer active and
+//!    a node dead: byte-identical decision digests and counter
+//!    fingerprints.
 //! 3. **Chaos failover** — the packet-level chaos harness replays DPU
 //!    node death (bounded re-homing churn, MTTR bounded by the fault
 //!    window, recovery as epoch swaps), DPU pool saturation under a
@@ -250,28 +251,31 @@ fn main() {
     );
 
     // --- 2. executor parity under the tier layer ----------------------
-    // Re-publish the one-dead world so parity is checked under churn.
+    // Re-publish the one-dead world so parity is checked under churn;
+    // the warm executor's cache was filled under the prior epoch.
+    let mut batch = BatchExecutor::new(&dp, 1);
+    let mut fb_warm = software_forwarder(&topology);
+    batch.run(&dp, &seq, &mut fb_warm);
     dp.publish(EpochState::build_with_world(
         &topology,
         &tier_config,
         dp.next_epoch(),
         &one_dead,
     ));
-    let mut fb_scalar = software_forwarder(&topology);
-    let scalar = dp.run_single(&seq, &mut fb_scalar);
-    let mut batch = BatchExecutor::new(&dp, 1);
+    let mut fb_cold = software_forwarder(&topology);
+    let cold = dp.run_single(&seq, &mut fb_cold);
     let mut fb_batch = software_forwarder(&topology);
     let batched = batch.run(&dp, &seq, &mut fb_batch);
     rec.compare(
         "batch pipeline under tier placement",
-        "reproduces scalar report field-for-field",
-        if reports_agree(&scalar, &batched) {
+        "warm executor reproduces cold run field-for-field",
+        if reports_agree(&cold, &batched) {
             "field-for-field"
         } else {
             "DIVERGED"
         }
         .to_string(),
-        reports_agree(&scalar, &batched),
+        reports_agree(&cold, &batched),
     );
     let multi_dp = Dataplane::build(
         &topology,
@@ -291,13 +295,13 @@ fn main() {
     rec.compare(
         "multi-worker digest under tier placement",
         "decision digest identical across 4 workers",
-        if multi.decision_digest == scalar.decision_digest {
+        if multi.decision_digest == cold.decision_digest {
             "identical"
         } else {
             "DIVERGED"
         }
         .to_string(),
-        multi.decision_digest == scalar.decision_digest && multi.workers == 4,
+        multi.decision_digest == cold.decision_digest && multi.workers == 4,
     );
 
     // --- 3. chaos failover --------------------------------------------

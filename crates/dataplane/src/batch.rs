@@ -1,9 +1,8 @@
-//! The zero-allocation batch executor.
+//! The zero-allocation batch executor: the dataplane's packet pipeline.
 //!
-//! [`BatchExecutor`] walks frames through the same logical pipeline as
-//! the scalar [`crate::executor::Dataplane`] — parse → flow-cache
-//! exact-match → directory/ECMP → table walk → rewrite/punt — but as
-//! per-stage loops over contiguous lanes instead of one function call
+//! [`BatchExecutor`] walks frames through the logical pipeline — parse →
+//! flow-cache exact-match → directory/ECMP → table walk → rewrite/punt —
+//! as per-stage loops over contiguous lanes instead of one function call
 //! per packet, in the style of capsule-like batch operators:
 //!
 //! 1. **Parse + probe lane**: every frame is validated through the
@@ -21,31 +20,36 @@
 //!    only a genuine directory-resident miss builds the owned
 //!    `GatewayPacket` for the full table walk, recording the outcome for
 //!    the rest of the flow.
-//! 3. **Apply loop** (original frame order, so punt order matches the
-//!    scalar executor byte-for-byte): bump attribution counters, charge
-//!    the virtual clock, rewrite `ToNc` frames into the batch's slab
-//!    arena — a v4 underlay takes the incremental-checksum patch
-//!    (`patch_v4`, byte-identical to `rewrite::apply` on a validated
-//!    frame), v6 takes the generic path — and queue punts through the
-//!    breaker *by frame index*: the owned punt parse happens in
-//!    [`BatchExecutor::finish`], off the hot path.
+//! 3. **Apply loop** (original frame order, so the punt queue and the
+//!    stateful fallback see frames in arrival order): bump attribution
+//!    counters, charge the virtual clock, rewrite `ToNc` frames into the
+//!    batch's slab arena — a v4 underlay takes the incremental-checksum
+//!    patch (`patch_v4`, byte-identical to `rewrite::apply` on a
+//!    validated frame), v6 takes the generic path — and queue punts
+//!    through the breaker *by frame index*: the owned punt parse happens
+//!    in [`BatchExecutor::finish`], off the hot path.
 //!
-//! The epoch is pinned **once per batch**, exactly like the scalar
-//! executor's batch loop, so epoch digests match entry for entry.
+//! The epoch is pinned **once per batch**, so every frame in a batch sees
+//! exactly one epoch even while installs publish concurrently. A cached
+//! outcome is a fact about the epoch it was walked under, so a worker
+//! clears its cache when a batch pins a different epoch than the one the
+//! cache was filled under.
+//!
+//! During a make-before-break move's Dual window the directory names a
+//! secondary owner for the moving VNIs; flow-hash parity picks the owner
+//! per flow, and `dual_owner_packets` counts every packet steered to the
+//! secondary, cache hits included. Batches pinned to an epoch with no
+//! Dual-window VNI skip that work.
 //!
 //! # Determinism contract
 //!
-//! On the same frame sequence, with a cold cache, and a flow population
-//! inside both caches' capacity, a `BatchExecutor` run reproduces the
-//! scalar executor's `RunReport` almost field-for-field: identical
-//! decision digest, epoch digests, counters, device attribution,
-//! fallback decisions and virtual time. With a *warm* cache the
-//! hit/miss split shifts (by design) but the decision digest is still
-//! identical — decisions are per-flow facts, not cache artifacts. Two
-//! scoped divergences, both asserted away in the equivalence tests:
-//! under cache-eviction pressure the hit/miss counters may differ from
-//! the no-evict scalar cache, and under a *tight* punt meter mid-batch
-//! admission timestamps differ (stage-ordered clock), which the default
+//! On the same frame sequence and a cold cache, a run's decision digest,
+//! epoch digests and fallback decisions are independent of the worker
+//! count; with a flow population inside the cache's capacity, so are the
+//! stage totals. With a *warm* cache the hit/miss split shifts (by
+//! design) but the decision digest is identical — decisions are per-flow
+//! facts, not cache artifacts. Under a *tight* punt meter, mid-batch
+//! admission timestamps follow the stage-ordered clock, which the default
 //! generous meter never exercises.
 //!
 //! # Allocation contract
@@ -58,6 +62,7 @@
 
 use core::net::{IpAddr, Ipv4Addr};
 
+use sailfish_cluster::lb::pick_owner;
 use sailfish_net::checksum;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::view::FrameView;
@@ -131,8 +136,7 @@ enum SlotState {
     DirectoryMiss,
     /// A SNAT punt served on-chip by a promoted exact-match entry in
     /// the pinned epoch's offload snapshot: no handoff, no breaker, no
-    /// fallback. `from_cache` preserves the scalar executor's hit/miss
-    /// counter split.
+    /// fallback. `from_cache` keeps the hit/miss counter split.
     SnatOffloaded {
         /// ECMP device slot for attribution (`FlowOutcome::NO_SLOT` if
         /// the cluster had no live device).
@@ -151,6 +155,8 @@ struct BatchWorker {
     /// tier (the historical two-rung ladder).
     dpu_breaker: Option<PuntBreaker>,
     owner_hash: Toeplitz,
+    /// The epoch every resident cache entry was walked under.
+    cache_epoch: u64,
     clock_ns: u64,
     digest: u64,
     /// `(epoch, digest)` accumulated batch-by-batch; a linear scan over
@@ -185,6 +191,8 @@ impl BatchWorker {
             ),
             dpu_breaker: tier_breaker(config),
             owner_hash: Toeplitz::default(),
+            // An empty cache is valid under any epoch.
+            cache_epoch: dp.pin().epoch,
             clock_ns: 0,
             digest: 0,
             epoch_digests: Vec::with_capacity(4),
@@ -238,7 +246,7 @@ pub struct BatchExecutor {
 impl BatchExecutor {
     /// Builds an executor with `workers` independent pipelines (1 for
     /// the deterministic golden mode). Each worker gets its own evicting
-    /// flow cache sized like the scalar executor's total shard capacity.
+    /// flow cache of `cache_shards * cache_shard_capacity` flows.
     pub fn new(dp: &Dataplane, workers: usize) -> Self {
         let workers = workers.max(1);
         BatchExecutor {
@@ -309,9 +317,9 @@ impl BatchExecutor {
     }
 
     /// Resolves queued punts through `fallback` (serially, after the
-    /// slowest pipeline, exactly like the scalar finalize — the owned
-    /// punt parse happens here, outside the measured hot path) and
-    /// assembles the run report. Allocation is permitted here.
+    /// slowest pipeline — the owned punt parse happens here, outside the
+    /// measured hot path) and assembles the run report. Allocation is
+    /// permitted here.
     pub fn finish(&mut self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
         let mut counters = TableCounters::default();
         let mut digest = 0u64;
@@ -352,7 +360,8 @@ impl BatchExecutor {
 
         // Both software rungs resolve through the same forwarder — the
         // DPU spill just costs the owning node's latency instead of the
-        // x86 cost — exactly like the scalar finalize.
+        // x86 cost — which is why tier placement can never change a
+        // run's decision digest.
         let mut now_ns = pipeline_ns;
         for worker in &self.workers {
             for &(idx, tier_tag) in &worker.punted {
@@ -458,6 +467,33 @@ fn action_of(decision: &HwDecision) -> CachedAction {
     }
 }
 
+/// The cluster serving `view`'s flow, and whether it is the Dual
+/// window's secondary owner: during a make-before-break move either
+/// owner holds the VNI's tables and flow-hash parity picks one per flow,
+/// so no flow black-holes mid-move. `dual_live` is false when the pinned
+/// epoch has no Dual-window VNI, which skips the per-VNI lookup. `None`
+/// when the directory has no hardware assignment for the VNI.
+fn serving_cluster(
+    state: &EpochState,
+    owner_hash: &Toeplitz,
+    view: &FrameView,
+    dual_live: bool,
+) -> Option<(usize, bool)> {
+    let primary = state.directory.cluster_for(view.vni)?;
+    let secondary = if dual_live {
+        state.directory.dual_of(view.vni)
+    } else {
+        None
+    };
+    Some(match secondary {
+        Some(secondary) => {
+            let owner = pick_owner(owner_hash, &view.five_tuple(), primary, secondary);
+            (owner, owner != primary)
+        }
+        None => (primary, false),
+    })
+}
+
 /// Runs one worker's share of the frames, batch by batch.
 fn run_worker(
     dp: &Dataplane,
@@ -469,9 +505,16 @@ fn run_worker(
 ) {
     for batch in indices.chunks(batch_size) {
         // One pin per batch: every frame sees a single epoch even while
-        // installs publish concurrently — same contract as the scalar
-        // executor's batch loop.
+        // installs publish concurrently.
         let state = dp.pin();
+        if worker.cache_epoch != state.epoch {
+            // Cached outcomes (action and ECMP slot) were walked against
+            // another epoch's tables; replaying them would serve a world
+            // that is no longer published.
+            worker.cache.clear();
+            worker.cache_epoch = state.epoch;
+        }
+        let dual_live = state.directory.dual_len() > 0;
         worker.clock_ns += cost::BATCH_OVERHEAD_NS;
         worker.slots.clear();
         worker.pending.clear();
@@ -502,9 +545,15 @@ fn run_worker(
             match FrameView::parse(frame) {
                 Ok(view) => {
                     worker.counters.parsed += 1;
+                    if dual_live
+                        && serving_cluster(&state, &worker.owner_hash, &view, true)
+                            .is_some_and(|(_, steered)| steered)
+                    {
+                        worker.counters.dual_owner_packets += 1;
+                    }
                     if let Some(outcome) = worker.cache.get(&view.flow_key()) {
-                        // Same logical point as the scalar executor's
-                        // cache-hit offload check.
+                        // A promoted SNAT flow is served on-chip before
+                        // any punt accounting.
                         if outcome.action == CachedAction::PuntSnat
                             && state
                                 .snat
@@ -546,8 +595,8 @@ fn run_worker(
             };
             // Re-probe: an earlier miss in this same batch may have
             // inserted the flow already (the probe in stage 1 ran before
-            // any insert). Scalar processing hits here, so the batch
-            // must too for the hit/miss split to match.
+            // any insert), and packet-at-a-time processing would hit
+            // here, so the hit/miss split does not depend on batching.
             if let Some(outcome) = worker.cache.get(&view.flow_key()) {
                 if let Some(slot) = worker.slots.get_mut(pos as usize) {
                     *slot = if outcome.action == CachedAction::PuntSnat
@@ -568,10 +617,8 @@ fn run_worker(
             }
             // Directory first, straight from the view's VNI: a
             // directory miss never needs the owned packet model.
-            let cluster = state
-                .directory
-                .cluster_for(view.vni)
-                .and_then(|i| state.clusters.get(i).map(|c| (i, c)));
+            let cluster = serving_cluster(&state, &worker.owner_hash, view, dual_live)
+                .and_then(|(i, _)| state.clusters.get(i).map(|c| (i, c)));
             let Some((cluster_idx, cluster)) = cluster else {
                 if let Some(slot) = worker.slots.get_mut(pos as usize) {
                     *slot = SlotState::DirectoryMiss;
@@ -603,9 +650,8 @@ fn run_worker(
             };
             worker.cache.insert(view.flow_key(), outcome);
             if let Some(slot) = worker.slots.get_mut(pos as usize) {
-                // Same logical point as the scalar executor's post-walk
-                // offload check (after the cache insert, so later hits
-                // in this batch re-take the offload branch themselves).
+                // Offload check after the cache insert, so later hits in
+                // this batch re-take the offload branch themselves.
                 *slot = if action == CachedAction::PuntSnat
                     && state
                         .snat
@@ -624,8 +670,8 @@ fn run_worker(
         worker.pending = pending;
 
         // Stage 3 — apply loop, in original frame order so the punt
-        // queue (and therefore stateful fallback processing) matches
-        // the scalar executor exactly.
+        // queue (and therefore stateful fallback processing) follows
+        // arrival order.
         let mut batch_digest = 0u64;
         for (pos, &idx) in batch.iter().enumerate() {
             let Some(frame) = frames.get(idx as usize) else {
@@ -648,9 +694,10 @@ fn run_worker(
                     true,
                 ),
                 Some(&SlotState::SnatOffloaded { slot, from_cache }) => {
-                    // Mirrors the scalar `snat_offload_hit` counter walk
-                    // exactly: hit bookkeeping first (when the probe lane
-                    // resolved the flow), then the on-chip translation.
+                    // Hit bookkeeping first (when the probe lane resolved
+                    // the flow), then the on-chip translation. `punt_snat`
+                    // stays a classification lane, so `punt_snat -
+                    // snat_translations` is the software-served SNAT load.
                     if from_cache {
                         worker.counters.cache_hits += 1;
                         worker.clock_ns += cost::CACHE_HIT_NS;
@@ -683,11 +730,11 @@ fn run_worker(
     }
 }
 
-/// Tries the DPU middle tier for one punt-classified frame — the batch
-/// mirror of the scalar executor's `try_spill_dpu`, keyed off the same
-/// Toeplitz tuple hash so both executors place every flow identically.
-/// `Some(())` means the spill was queued; `None` falls through to x86
-/// admission (no tier, dead pool, or a shed re-route).
+/// Tries the DPU middle tier for one punt-classified frame, placed by
+/// the Toeplitz tuple hash. `Some(())` means the spill was queued; `None`
+/// falls through to x86 admission (no tier, dead pool, or a shed
+/// re-route: the shed counters record it and x86 still serves the
+/// packet).
 fn try_spill_dpu(
     state: &EpochState,
     worker: &mut BatchWorker,

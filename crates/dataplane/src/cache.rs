@@ -1,26 +1,19 @@
-//! Flow caches for the scalar and batch executors.
+//! The flow cache in front of the table pipeline.
 //!
 //! Gateways front the table pipeline with an exact-match flow cache: the
 //! first packet of a flow takes the full walk, later packets replay the
-//! recorded action. Two implementations live here:
-//!
-//! - [`ShardedFlowCache`]: the scalar executor's no-evict sharded map
-//!   (insertion fails when a shard is full). Shards are selected by the
-//!   same Toeplitz hash the underlay RSS uses. Kept as-is — it is the
-//!   behavior the differential oracle and the committed artifacts pin.
-//! - [`FlowCache`]: the batch hot path's evicting cache, an S3-FIFO
-//!   (small probationary FIFO + main FIFO + ghost fingerprints) over a
-//!   preallocated slab. It survives millions of flows within a bounded
-//!   footprint, never allocates after construction, and its one-hit
-//!   wonders churn through the small queue without displacing the hot
-//!   working set in main. Eviction order is a pure function of the
-//!   operation sequence, so batch runs stay deterministic.
+//! recorded action. [`FlowCache`] is an S3-FIFO (a small probationary
+//! FIFO, a main FIFO and ghost fingerprints) over a preallocated slab. It
+//! survives millions of flows within a bounded footprint, never
+//! allocates after construction, and its one-hit wonders churn through
+//! the small queue without displacing the hot working set in main.
+//! Eviction order is a pure function of the operation sequence, so runs
+//! stay deterministic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sailfish_net::rss::Toeplitz;
 use sailfish_net::view::FlowKey;
-use sailfish_net::{FiveTuple, Vni};
+use sailfish_net::Vni;
 use sailfish_tables::types::{IdcId, NcAddr, RegionId};
 
 /// The replayable outcome of a table walk for one flow.
@@ -57,71 +50,6 @@ pub enum CachedAction {
     DropAcl,
     /// Drop: peer-chain loop bound.
     DropLoop,
-}
-
-/// An exact-match `(VNI, inner 5-tuple)` → action cache split into shards.
-#[derive(Debug)]
-pub struct ShardedFlowCache {
-    shards: Vec<HashMap<(Vni, FiveTuple), CachedAction>>,
-    capacity_per_shard: usize,
-    hasher: Toeplitz,
-}
-
-impl ShardedFlowCache {
-    /// Creates a cache with `shards` shards of `capacity_per_shard` flows.
-    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedFlowCache {
-            shards: (0..shards).map(|_| HashMap::new()).collect(),
-            capacity_per_shard,
-            hasher: Toeplitz::default(),
-        }
-    }
-
-    fn shard_for(&self, tuple: &FiveTuple) -> usize {
-        self.hasher.hash_tuple(tuple) as usize % self.shards.len()
-    }
-
-    /// Looks up the cached action for a flow.
-    pub fn get(&self, vni: Vni, tuple: &FiveTuple) -> Option<CachedAction> {
-        self.shards[self.shard_for(tuple)]
-            .get(&(vni, *tuple))
-            .copied()
-    }
-
-    /// Records an action; returns `false` (and stores nothing) when the
-    /// flow's shard is full.
-    pub fn insert(&mut self, vni: Vni, tuple: &FiveTuple, action: CachedAction) -> bool {
-        let idx = self.shard_for(tuple);
-        let shard = &mut self.shards[idx];
-        if shard.len() >= self.capacity_per_shard && !shard.contains_key(&(vni, *tuple)) {
-            return false;
-        }
-        shard.insert((vni, *tuple), action);
-        true
-    }
-
-    /// Total cached flows.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether no flow is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached flow (table update invalidation).
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-
-    /// Per-shard occupancy, for balance diagnostics.
-    pub fn occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
 }
 
 /// The replayable outcome the batch pipeline caches per flow: the action
@@ -430,7 +358,7 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailfish_net::IpProtocol;
+    use sailfish_net::{FiveTuple, IpProtocol};
 
     fn tuple(i: u32) -> FiveTuple {
         FiveTuple::new(
@@ -440,32 +368,6 @@ mod tests {
             1000 + (i % 100) as u16,
             80,
         )
-    }
-
-    #[test]
-    fn insert_get_round_trip() {
-        let mut c = ShardedFlowCache::new(4, 16);
-        let v = Vni::from_const(7);
-        let t = tuple(1);
-        assert!(c.get(v, &t).is_none());
-        assert!(c.insert(v, &t, CachedAction::PuntSnat));
-        assert_eq!(c.get(v, &t), Some(CachedAction::PuntSnat));
-        // Same tuple under another VNI is a distinct flow.
-        assert!(c.get(Vni::from_const(8), &t).is_none());
-    }
-
-    #[test]
-    fn full_shard_rejects_new_flows_but_updates_existing() {
-        let mut c = ShardedFlowCache::new(1, 8);
-        let v = Vni::from_const(1);
-        for i in 0..8 {
-            assert!(c.insert(v, &tuple(i), CachedAction::PuntNoRoute));
-        }
-        assert!(!c.insert(v, &tuple(99), CachedAction::PuntNoRoute));
-        assert_eq!(c.len(), 8);
-        // Updating a resident flow is always allowed.
-        assert!(c.insert(v, &tuple(0), CachedAction::DropAcl));
-        assert_eq!(c.get(v, &tuple(0)), Some(CachedAction::DropAcl));
     }
 
     fn key(i: u32) -> FlowKey {
@@ -537,21 +439,5 @@ mod tests {
         assert!(c.get(&key(0)).is_none());
         c.insert(key(0), outcome(0));
         assert_eq!(c.get(&key(0)), Some(outcome(0)));
-    }
-
-    #[test]
-    fn shards_spread_flows() {
-        let mut c = ShardedFlowCache::new(8, 10_000);
-        let v = Vni::from_const(1);
-        for i in 0..4_000 {
-            c.insert(v, &tuple(i), CachedAction::PuntSnat);
-        }
-        let occ = c.occupancy();
-        assert_eq!(occ.iter().sum::<usize>(), 4_000);
-        for (i, o) in occ.iter().enumerate() {
-            assert!(*o > 100, "shard {i} got {o}");
-        }
-        c.clear();
-        assert!(c.is_empty());
     }
 }

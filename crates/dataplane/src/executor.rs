@@ -1,4 +1,4 @@
-//! The frame executor: single-threaded deterministic and multi-worker.
+//! The region dataplane and its run entry points.
 //!
 //! A [`Dataplane`] models one region's hardware tier the way the upstream
 //! fabric sees it: a VNI directory splits traffic horizontally across
@@ -15,6 +15,10 @@
 //! ([`RunReport::epoch_digests`]) so the oracle can pin each epoch's
 //! decision multiset independently.
 //!
+//! Packets run through the one pipeline, [`BatchExecutor`]:
+//! [`Dataplane::run_single`] and [`Dataplane::run_multi`] are cold-cache
+//! runs of it on one and on `config.workers` workers.
+//!
 //! Determinism contract: [`Dataplane::run_single`] and
 //! [`Dataplane::run_multi`] produce the **same decision digest** for the
 //! same frame sequence — the multiset of per-packet decisions is
@@ -27,20 +31,18 @@ use std::sync::Arc;
 use sailfish_cluster::lb::pick_owner;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::wire::ethernet;
-use sailfish_net::{FiveTuple, GatewayPacket};
+use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
-use sailfish_tables::meter::Meter;
 use sailfish_xgw_h::program::HwDropReason;
 use sailfish_xgw_h::HwDecision;
 use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
-use crate::breaker::{Admission, BreakerConfig, BreakerStats, PuntBreaker};
-use crate::cache::{CachedAction, ShardedFlowCache};
+use crate::batch::BatchExecutor;
+use crate::breaker::{BreakerConfig, BreakerStats};
 use crate::counters::TableCounters;
-use crate::engine::{self, cost};
+use crate::engine;
 use crate::epoch::{EpochCell, EpochState};
 use crate::oracle::{DropClass, PathDecision};
-use crate::rewrite;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -61,9 +63,11 @@ pub struct DataplaneConfig {
     pub punt_burst_bytes: u64,
     /// Punt-path circuit breaker over the meter.
     pub breaker: BreakerConfig,
-    /// Flow-cache shards per worker.
+    /// Flow-cache sizing factor: each worker's cache holds
+    /// `cache_shards * cache_shard_capacity` flows.
     pub cache_shards: usize,
-    /// Flow capacity per shard (no-evict).
+    /// Flows per shard. A worker's S3-FIFO flow cache holds
+    /// `cache_shards * cache_shard_capacity` flows and evicts beyond that.
     pub cache_shard_capacity: usize,
     /// Worker threads in [`Dataplane::run_multi`].
     pub workers: usize,
@@ -100,37 +104,6 @@ impl Default for DataplaneConfig {
 pub struct Dataplane {
     config: DataplaneConfig,
     cell: EpochCell,
-}
-
-/// A punt queued for post-pipeline resolution: the packet plus the tier
-/// that serves it — `Some((node, process_ns))` for a DPU spill, `None`
-/// for the x86 fallback. The tag is captured at placement time so
-/// resolution needs no epoch access.
-type QueuedPunt = (GatewayPacket, Option<(u16, u64)>);
-
-/// Per-worker mutable state.
-struct WorkerState {
-    cache: ShardedFlowCache,
-    counters: TableCounters,
-    owner_hash: Toeplitz,
-    breaker: PuntBreaker,
-    dpu_breaker: Option<PuntBreaker>,
-    clock_ns: u64,
-    digest: u64,
-    epoch_digests: BTreeMap<u64, u64>,
-    punted: Vec<QueuedPunt>,
-    device_packets: Vec<u64>,
-    scratch: Vec<u8>,
-}
-
-/// What one frame produced inside a worker.
-enum FrameOutcome {
-    /// The frame did not parse (counted per layer/kind already).
-    ParseError,
-    /// A final decision was reached on the hardware tier.
-    Decided(PathDecision),
-    /// Queued for the software fallback.
-    Punted,
 }
 
 /// Report of one executor run.
@@ -232,443 +205,20 @@ impl Dataplane {
         self.cell.swaps()
     }
 
-    fn new_worker_state(&self) -> WorkerState {
-        WorkerState {
-            cache: ShardedFlowCache::new(
-                self.config.cache_shards,
-                self.config.cache_shard_capacity,
-            ),
-            counters: TableCounters::default(),
-            owner_hash: Toeplitz::default(),
-            breaker: PuntBreaker::new(
-                Meter::new(self.config.punt_rate_bps, self.config.punt_burst_bytes),
-                self.config.breaker.clone(),
-            ),
-            dpu_breaker: self.config.tier.as_ref().map(|t| {
-                PuntBreaker::named(
-                    "dpu",
-                    Meter::new(t.dpu_rate_bps, t.dpu_burst_bytes),
-                    t.dpu_breaker.clone(),
-                )
-            }),
-            clock_ns: 0,
-            digest: 0,
-            epoch_digests: BTreeMap::new(),
-            punted: Vec::new(),
-            device_packets: vec![0; self.config.clusters * self.config.devices_per_cluster],
-            scratch: Vec::new(),
-        }
-    }
-
-    fn action_of(decision: &HwDecision) -> CachedAction {
-        match decision {
-            HwDecision::ToNc { packet, nc } => CachedAction::ToNc {
-                nc: *nc,
-                vni: packet.vni,
-            },
-            HwDecision::ToRegion { region, vni } => CachedAction::ToRegion {
-                region: *region,
-                vni: *vni,
-            },
-            HwDecision::ToIdc { idc, vni } => CachedAction::ToIdc {
-                idc: *idc,
-                vni: *vni,
-            },
-            HwDecision::PuntToX86 { reason, .. } => match reason {
-                sailfish_xgw_h::PuntReason::SnatRequired => CachedAction::PuntSnat,
-                sailfish_xgw_h::PuntReason::NoHwRoute => CachedAction::PuntNoRoute,
-                sailfish_xgw_h::PuntReason::NoVmMapping => CachedAction::PuntNoVm,
-            },
-            HwDecision::Drop(HwDropReason::AclDeny) => CachedAction::DropAcl,
-            HwDecision::Drop(HwDropReason::RoutingLoop) => CachedAction::DropLoop,
-            HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-                unreachable!("walk never rate-limits")
-            }
-        }
-    }
-
-    /// Tries to place a punt-classified packet on the DPU middle tier.
-    /// Returns the queued outcome when the tier admits it; `None` means
-    /// the packet falls through to the x86 admission path — either no
-    /// tier is configured, the pool owns no live node for the flow, or
-    /// the tier's meter/breaker shed it (a *re-route*, not a drop: the
-    /// shed counters record the event and x86 still serves the packet).
-    fn try_spill_dpu(
-        state: &EpochState,
-        frame: &[u8],
-        packet: &GatewayPacket,
-        st: &mut WorkerState,
-    ) -> Option<FrameOutcome> {
-        let map = state.tier.as_deref()?;
-        let dpu_breaker = st.dpu_breaker.as_mut()?;
-        let tuple_hash = st.owner_hash.hash_tuple(&packet.five_tuple());
-        let crate::tier::TierDecision::SpillDpu {
-            node,
-            process_ns,
-            rehomed,
-        } = map.place(packet.vni.value(), tuple_hash)
-        else {
-            return None; // pool fully dead: degrade to x86
-        };
-        match dpu_breaker.admit(st.clock_ns, map.byte_cost(frame.len())) {
-            Admission::Admitted => {
-                st.clock_ns += cost::PUNT_HANDOFF_NS;
-                st.counters.dpu_spilled += 1;
-                if rehomed {
-                    st.counters.dpu_rehomed += 1;
-                }
-                st.punted.push((*packet, Some((node, process_ns))));
-                Some(FrameOutcome::Punted)
-            }
-            Admission::ShedMeter => {
-                st.counters.dpu_shed_meter += 1;
-                None
-            }
-            Admission::ShedOpen => {
-                st.counters.dpu_breaker_open += 1;
-                None
-            }
-        }
-    }
-
-    /// Applies a (possibly cache-replayed) action to the frame. When the
-    /// action comes from the cache the per-stage counters the walk would
-    /// have bumped are bumped here instead, so stage totals stay exact.
-    fn apply_action(
-        &self,
-        state: &EpochState,
-        action: CachedAction,
-        frame: &[u8],
-        packet: &GatewayPacket,
-        st: &mut WorkerState,
-        from_cache: bool,
-    ) -> FrameOutcome {
-        match action {
-            CachedAction::ToNc { nc, vni } => {
-                st.scratch.clear();
-                st.scratch.extend_from_slice(frame);
-                if let Err(e) = rewrite::apply(&mut st.scratch, nc, vni) {
-                    // A parseable VXLAN frame always rewrites; a failure
-                    // means the frame lied about its structure in a way
-                    // the parser tolerated. Count it per layer/kind.
-                    st.counters.record_frame_error(e);
-                    return FrameOutcome::ParseError;
-                }
-                st.clock_ns += cost::REWRITE_NS;
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToNc { nc, vni })
-            }
-            CachedAction::ToRegion { region, vni } => {
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToRegion { region, vni })
-            }
-            CachedAction::ToIdc { idc, vni } => {
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToIdc { idc, vni })
-            }
-            CachedAction::PuntSnat | CachedAction::PuntNoRoute | CachedAction::PuntNoVm => {
-                if from_cache {
-                    match action {
-                        CachedAction::PuntSnat => st.counters.punt_snat += 1,
-                        CachedAction::PuntNoRoute => st.counters.punt_no_route += 1,
-                        CachedAction::PuntNoVm => st.counters.punt_no_vm += 1,
-                        _ => unreachable!(),
-                    }
-                }
-                // The degradation ladder: try the DPU middle tier first;
-                // only what it cannot serve reaches the x86 admission.
-                if let Some(out) = Self::try_spill_dpu(state, frame, packet, st) {
-                    return out;
-                }
-                match st.breaker.admit(st.clock_ns, frame.len()) {
-                    Admission::Admitted => {
-                        st.clock_ns += cost::PUNT_HANDOFF_NS;
-                        st.punted.push((*packet, None));
-                        FrameOutcome::Punted
-                    }
-                    Admission::ShedMeter => {
-                        // The handoff was attempted and the meter refused.
-                        st.clock_ns += cost::PUNT_HANDOFF_NS;
-                        st.counters.punt_rate_limited += 1;
-                        FrameOutcome::Decided(PathDecision::Drop(DropClass::PuntRateLimited))
-                    }
-                    Admission::ShedOpen => {
-                        // Open breaker: fail fast on-chip, no handoff cost.
-                        st.counters.punt_breaker_open += 1;
-                        FrameOutcome::Decided(PathDecision::Drop(DropClass::PuntRateLimited))
-                    }
-                }
-            }
-            CachedAction::DropAcl => {
-                if from_cache {
-                    st.counters.acl_denied += 1;
-                }
-                FrameOutcome::Decided(PathDecision::Drop(DropClass::Acl))
-            }
-            CachedAction::DropLoop => {
-                if from_cache {
-                    st.counters.loop_drops += 1;
-                }
-                FrameOutcome::Decided(PathDecision::Drop(DropClass::RoutingLoop))
-            }
-        }
-    }
-
-    /// Intercepts a SNAT punt when the pinned epoch carries a promoted
-    /// exact-match entry for this flow: the translation is served
-    /// on-chip and the punt (handoff, breaker, fallback) never happens.
-    /// The decision is `ToInternet`, whose digest deliberately excludes
-    /// the binding — so an offloaded decision compares equal to the one
-    /// the software fallback would have produced, and offload placement
-    /// can never change a run's decision digest.
-    ///
-    /// `punt_snat` stays a *classification* lane (walk bumps it on
-    /// misses, this path mirrors `apply_action`'s cache-hit bump), so
-    /// `punt_snat - snat_translations` is the software-served SNAT load.
-    fn snat_offload_hit(
-        state: &EpochState,
-        action: CachedAction,
-        packet: &GatewayPacket,
-        tuple: &FiveTuple,
-        st: &mut WorkerState,
-        from_cache: bool,
-    ) -> Option<FrameOutcome> {
-        if action != CachedAction::PuntSnat {
-            return None;
-        }
-        let offload = state.snat.as_deref()?;
-        offload.lookup(packet.vni, tuple)?;
-        if from_cache {
-            st.counters.punt_snat += 1;
-        }
-        st.counters.snat_translations += 1;
-        st.counters.hw_forwarded += 1;
-        st.clock_ns += cost::REWRITE_NS;
-        Some(FrameOutcome::Decided(PathDecision::ToInternet))
-    }
-
-    /// Processes one frame inside a worker against the pinned epoch:
-    /// parse, directory, ECMP attribution, flow cache, table walk,
-    /// rewrite/punt. Hostile bytes degrade to a typed, counted parse
-    /// error — never a panic, never a silent punt.
-    fn process_frame(
-        &self,
-        state: &EpochState,
-        frame: &[u8],
-        st: &mut WorkerState,
-    ) -> FrameOutcome {
-        st.clock_ns += cost::PARSE_NS;
-        let packet = match GatewayPacket::parse_classified(frame) {
-            Ok(p) => p,
-            Err(e) => {
-                st.counters.record_frame_error(e);
-                return FrameOutcome::ParseError;
-            }
-        };
-        st.counters.parsed += 1;
-
-        let tuple = packet.five_tuple();
-        let Some(primary) = state.directory.cluster_for(packet.vni) else {
-            // The upstream balancer has no hardware assignment: default
-            // route to the software tier.
-            return self.apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
-        };
-        // During a dual-ownership migration window either owner serves
-        // the VNI; flow-hash parity decides per flow, the same split the
-        // region model uses, so no flow ever black-holes mid-move.
-        let cluster_idx = match state.directory.dual_of(packet.vni) {
-            Some(secondary) => {
-                let owner = pick_owner(&st.owner_hash, &tuple, primary, secondary);
-                if owner != primary {
-                    st.counters.dual_owner_packets += 1;
-                }
-                owner
-            }
-            None => primary,
-        };
-        let Some(cluster) = state.clusters.get(cluster_idx) else {
-            // Directory points past the cluster set: treat as unassigned.
-            return self.apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
-        };
-        if cluster.epoch_tag != state.epoch {
-            // Torn state: the cluster belongs to a different epoch than
-            // the directory that routed us here. Must never happen; the
-            // counter lets tests prove it doesn't.
-            st.counters.epoch_violations += 1;
-        }
-        if let Ok(device) = cluster.ecmp.pick(&tuple) {
-            let slot = cluster_idx * self.config.devices_per_cluster + device;
-            if let Some(count) = st.device_packets.get_mut(slot) {
-                *count += 1;
-            }
-        }
-
-        if let Some(action) = st.cache.get(packet.vni, &tuple) {
-            st.counters.cache_hits += 1;
-            st.clock_ns += cost::CACHE_HIT_NS;
-            if let Some(out) = Self::snat_offload_hit(state, action, &packet, &tuple, st, true) {
-                return out;
-            }
-            return self.apply_action(state, action, frame, &packet, st, true);
-        }
-        st.counters.cache_misses += 1;
-        let before = st.counters;
-        let decision = engine::walk(&cluster.tables, &packet, &mut st.counters);
-        st.clock_ns += engine::walk_cost_ns(&before, &st.counters);
-        let action = Self::action_of(&decision);
-        st.cache.insert(packet.vni, &tuple, action);
-        if let Some(out) = Self::snat_offload_hit(state, action, &packet, &tuple, st, false) {
-            return out;
-        }
-        self.apply_action(state, action, frame, &packet, st, false)
-    }
-
-    fn run_worker(&self, frames: &[&[u8]]) -> WorkerState {
-        let mut st = self.new_worker_state();
-        for batch in frames.chunks(self.config.batch_size.max(1)) {
-            // Pin once per batch: every frame in the batch sees exactly
-            // one epoch, even if an install publishes mid-run.
-            let state = self.cell.pin();
-            st.clock_ns += cost::BATCH_OVERHEAD_NS;
-            let mut batch_digest = 0u64;
-            for frame in batch {
-                if let FrameOutcome::Decided(d) = self.process_frame(&state, frame, &mut st) {
-                    let dg = d.digest();
-                    st.digest = st.digest.wrapping_add(dg);
-                    batch_digest = batch_digest.wrapping_add(dg);
-                }
-            }
-            let slot = st.epoch_digests.entry(state.epoch).or_insert(0);
-            *slot = slot.wrapping_add(batch_digest);
-        }
-        st
-    }
-
-    fn finalize(
-        &self,
-        states: Vec<WorkerState>,
-        fallback: &mut SoftwareForwarder,
-        packets: u64,
-        workers: usize,
-    ) -> RunReport {
-        let mut counters = TableCounters::default();
-        let mut digest = 0u64;
-        let mut epoch_digests: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut pipeline_ns = 0u64;
-        let mut device_packets = vec![0u64; self.config.clusters * self.config.devices_per_cluster];
-        let mut punted = Vec::new();
-        let mut breaker = BreakerStats::default();
-        let mut dpu_breaker = BreakerStats::default();
-        for st in states {
-            counters.merge(&st.counters);
-            digest = digest.wrapping_add(st.digest);
-            for (epoch, d) in st.epoch_digests {
-                let slot = epoch_digests.entry(epoch).or_insert(0);
-                *slot = slot.wrapping_add(d);
-            }
-            pipeline_ns = pipeline_ns.max(st.clock_ns);
-            for (acc, d) in device_packets.iter_mut().zip(&st.device_packets) {
-                *acc += d;
-            }
-            punted.extend(st.punted);
-            let s = st.breaker.stats();
-            breaker.opened += s.opened;
-            breaker.half_opened += s.half_opened;
-            breaker.closed += s.closed;
-            breaker.shed_open += s.shed_open;
-            breaker.shed_meter += s.shed_meter;
-            if let Some(db) = &st.dpu_breaker {
-                let s = db.stats();
-                dpu_breaker.opened += s.opened;
-                dpu_breaker.half_opened += s.half_opened;
-                dpu_breaker.closed += s.closed;
-                dpu_breaker.shed_open += s.shed_open;
-                dpu_breaker.shed_meter += s.shed_meter;
-            }
-        }
-
-        // The software tiers serve punts serially after the pipeline
-        // time: a DPU spill resolves through the *same* forwarder as an
-        // x86 punt (both run the full software table set), just at the
-        // owning DPU node's per-packet latency instead of the x86 cost —
-        // which is exactly why tier placement can never change a run's
-        // decision digest.
-        let mut now_ns = pipeline_ns;
-        let mut fallback_packets = 0u64;
-        let mut dpu_packets = 0u64;
-        for (packet, tier_tag) in &punted {
-            let decision = match tier_tag {
-                Some((_node, process_ns)) => {
-                    dpu_packets += 1;
-                    now_ns += process_ns;
-                    let decision = PathDecision::from_software(&fallback.process(packet, now_ns));
-                    if matches!(decision, PathDecision::Drop(_)) {
-                        counters.dpu_dropped += 1;
-                    } else {
-                        counters.dpu_forwarded += 1;
-                    }
-                    decision
-                }
-                None => {
-                    fallback_packets += 1;
-                    now_ns += cost::X86_PROCESS_NS;
-                    let decision = PathDecision::from_software(&fallback.process(packet, now_ns));
-                    if matches!(decision, PathDecision::Drop(_)) {
-                        counters.fallback_dropped += 1;
-                    } else {
-                        counters.fallback_forwarded += 1;
-                    }
-                    decision
-                }
-            };
-            digest = digest.wrapping_add(decision.digest());
-        }
-
-        RunReport {
-            packets,
-            counters,
-            decision_digest: digest,
-            epoch_digests,
-            virtual_ns: now_ns,
-            fallback_packets,
-            dpu_packets,
-            workers,
-            device_packets,
-            breaker,
-            dpu_breaker,
-        }
-    }
-
-    /// Runs every frame in order on one worker — the deterministic golden
-    /// mode. Punted packets are resolved through `fallback` afterwards.
+    /// Runs every frame in order on one worker: a cold-cache
+    /// [`BatchExecutor`] run. Punted packets are resolved through
+    /// `fallback` afterwards.
     pub fn run_single(&self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let st = self.run_worker(frames);
-        self.finalize(vec![st], fallback, frames.len() as u64, 1)
+        BatchExecutor::new(self, 1).run(self, frames, fallback)
     }
 
-    /// Runs frames across `config.workers` scoped threads, partitioned by
-    /// outer-UDP flow entropy (what an underlay ECMP fabric hashes).
-    /// Decision digest matches [`Dataplane::run_single`] on the same
-    /// frames; virtual time reflects the slowest worker.
+    /// Runs frames across `config.workers` cold-cache pipelines on scoped
+    /// threads, partitioned by outer-UDP flow entropy (what an underlay
+    /// ECMP fabric hashes). Decision digest matches
+    /// [`Dataplane::run_single`] on the same frames; virtual time reflects
+    /// the slowest worker.
     pub fn run_multi(&self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let workers = self.config.workers.max(1);
-        let mut parts: Vec<Vec<&[u8]>> = (0..workers).map(|_| Vec::new()).collect();
-        for frame in frames {
-            if let Some(part) = parts.get_mut(worker_for(frame, workers)) {
-                part.push(frame);
-            }
-        }
-        let states: Vec<WorkerState> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| scope.spawn(move || self.run_worker(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        self.finalize(states, fallback, frames.len() as u64, workers)
+        BatchExecutor::new(self, self.config.workers).run(self, frames, fallback)
     }
 
     /// Decides one frame end-to-end without touching caches or the punt
@@ -793,7 +343,8 @@ mod tests {
         assert_eq!(single.packets, multi.packets);
         assert_eq!(single.counters.parse_errors, 0);
         assert_eq!(single.counters.parsed, seq.len() as u64);
-        // Stage totals are partition-independent too (no-evict cache).
+        // Stage totals are partition-independent too (every flow fits
+        // each worker's cache, so nothing is evicted).
         assert_eq!(single.counters.punted(), multi.counters.punted());
         assert_eq!(
             single.counters.hw_forwarded + single.counters.fallback_forwarded,

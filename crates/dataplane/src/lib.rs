@@ -10,18 +10,15 @@
 //! software path whenever the hardware pipeline cannot serve a packet —
 //! the same fallback model the region simulation uses.
 //!
-//! Two executors exist over the same epoch-versioned tables:
-//!
-//! - the **scalar** [`executor::Dataplane`] (single-threaded deterministic
-//!   [`executor::Dataplane::run_single`] for golden tests and byte-identical
-//!   benchmark JSON, plus scoped-thread [`executor::Dataplane::run_multi`]
-//!   partitioned by outer-UDP flow entropy exactly like an underlay ECMP
-//!   fabric would), and
-//! - the **zero-allocation batch pipeline** ([`batch::BatchExecutor`]),
-//!   which walks contiguous frame lanes through per-stage loops with a
-//!   borrowed-view parser, an evicting S3-FIFO flow cache and a reusable
-//!   rewrite arena. The scalar executor stays the determinism oracle: both
-//!   produce identical decision digests on the same frames.
+//! [`executor::Dataplane`] holds the epoch-versioned tables; one packet
+//! pipeline runs over them, the **zero-allocation batch executor**
+//! ([`batch::BatchExecutor`]). It walks contiguous frame lanes through
+//! per-stage loops with a borrowed-view parser, an evicting S3-FIFO flow
+//! cache and a reusable rewrite arena. [`executor::Dataplane::run_single`]
+//! (the deterministic golden mode behind the byte-identical benchmark
+//! JSON) and [`executor::Dataplane::run_multi`] (scoped threads
+//! partitioned by outer-UDP flow entropy, exactly like an underlay ECMP
+//! fabric) are cold-cache runs of it.
 //!
 //! The differential oracle ([`oracle::differential_run`]) pins the whole
 //! pipeline against the reference software forwarder: every packet the
@@ -46,10 +43,9 @@ pub mod chaos;
 pub mod counters;
 pub mod engine;
 pub mod epoch;
-// Hot paths touching raw frame bytes must prove every slice: the lint
-// rejects unchecked indexing so truncated or hostile frames cannot panic
-// the pipeline (per-module `allow`s carry the bounds proofs).
-#[warn(clippy::indexing_slicing)]
+// Code touching raw frame bytes must prove every slice: unchecked
+// indexing on truncated or hostile frames must not compile.
+#[deny(clippy::indexing_slicing)]
 pub mod executor;
 pub mod oracle;
 #[deny(clippy::indexing_slicing)]

@@ -9,7 +9,9 @@
 //! - `punt_snat` stays a pure classification lane — identical across
 //!   both runs — while `snat_translations` picks up exactly the flows
 //!   the offload serves and `fallback_packets` drops by the same,
-//! - scalar, multi-worker and batch executors agree field for field,
+//! - an executor warmed before the offload publish reproduces the cold
+//!   offloaded run field for field, and warm cache hits take the
+//!   offload branch too; multi-worker runs agree on digest and lanes,
 //! - an offload sealed for one epoch can never ship inside another.
 
 use sailfish_dataplane::batch::BatchExecutor;
@@ -70,6 +72,9 @@ fn offload_preserves_digest_and_drains_the_punt_path() {
         "workload exercises no SNAT flows — the equality below is vacuous"
     );
     assert_eq!(baseline.counters.snat_translations, 0);
+    let mut warm = BatchExecutor::new(&dp, 1);
+    let mut fb_warm = software_forwarder(&topology);
+    warm.run(&dp, &seq, &mut fb_warm);
 
     // Seal the hot set for the next epoch and publish it.
     let epoch = dp.next_epoch();
@@ -109,7 +114,7 @@ fn offload_preserves_digest_and_drains_the_punt_path() {
         baseline.counters.hw_forwarded + offloaded.counters.snat_translations
     );
 
-    // The multi-worker scalar path agrees on the digest and the lanes.
+    // The multi-worker path agrees on the digest and the lanes.
     let mut fb_multi = software_forwarder(&topology);
     let multi = dp.run_multi(&seq, &mut fb_multi);
     assert_eq!(multi.decision_digest, baseline.decision_digest);
@@ -118,11 +123,11 @@ fn offload_preserves_digest_and_drains_the_punt_path() {
         offloaded.counters.snat_translations
     );
 
-    // The batch pipeline reproduces the offloaded scalar report field
-    // for field — same interception points, same counter walks.
-    let mut batch = BatchExecutor::new(&dp, 1);
+    // The executor warmed under the pre-offload epoch drops its cache
+    // at the publish, so it reproduces the cold offloaded report field
+    // for field.
     let mut fb_batch = software_forwarder(&topology);
-    let batched = batch.run(&dp, &seq, &mut fb_batch);
+    let batched = warm.run(&dp, &seq, &mut fb_batch);
     assert_eq!(batched.decision_digest, offloaded.decision_digest);
     assert_eq!(batched.epoch_digests, offloaded.epoch_digests);
     let diff: Vec<String> = offloaded
@@ -131,14 +136,23 @@ fn offload_preserves_digest_and_drains_the_punt_path() {
         .iter()
         .zip(batched.counters.fields().iter())
         .filter(|(a, b)| a.1 != b.1)
-        .map(|(a, b)| format!("{}: scalar={} batch={}", a.0, a.1, b.1))
+        .map(|(a, b)| format!("{}: cold={} warm={}", a.0, a.1, b.1))
         .collect();
-    assert!(
-        diff.is_empty(),
-        "counters diverged scalar vs batch: {diff:?}"
-    );
+    assert!(diff.is_empty(), "counters diverged cold vs warm: {diff:?}");
     assert_eq!(batched.fallback_packets, offloaded.fallback_packets);
     assert_eq!(batched.virtual_ns, offloaded.virtual_ns);
+
+    // Once warm under the offload epoch, cache hits still take the
+    // offload branch: same translations, same digest, no walk.
+    let mut fb_hot = software_forwarder(&topology);
+    let hot = warm.run(&dp, &seq, &mut fb_hot);
+    assert_eq!(hot.counters.cache_misses, 0);
+    assert_eq!(hot.decision_digest, offloaded.decision_digest);
+    assert_eq!(
+        hot.counters.snat_translations,
+        offloaded.counters.snat_translations
+    );
+    assert_eq!(hot.fallback_packets, offloaded.fallback_packets);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! `FrameView::parse` is pinned to `GatewayPacket::parse_classified`.
 //!
 //! The batch hot path validates frames through the borrowed
-//! [`sailfish_net::view::FrameView`] while the scalar executor uses the
-//! owned packet model; the differential digest tests only hold if the two
-//! parsers accept and reject the *same* frames with the *same* typed
-//! error. This suite sweeps valid frames, every truncation prefix, and
+//! [`sailfish_net::view::FrameView`] while punt resolution and the
+//! differential oracle use the owned packet model; the dataplane's
+//! oracle and error-lane tests only hold if the two parsers accept and
+//! reject the *same* frames with the *same* typed error. This suite sweeps valid frames, every truncation prefix, and
 //! structure-aware mutants, requiring bit-identical classification.
 
 use sailfish_net::packet::{GatewayPacket, GatewayPacketBuilder};
