@@ -68,6 +68,12 @@ run_step "build" cargo build --release --offline
 # 2. Offline test suite.
 run_step "test" cargo test -q --offline
 
+# 2b. The wall-clock benchmark (`gwbench/`, a package outside the
+#     workspace) drives the crates through their public API; build and
+#     test it so an API change cannot break it unnoticed.
+run_step "gwbench-build" cargo build --release --offline --manifest-path gwbench/Cargo.toml
+run_step "gwbench-test" cargo test --release --offline --manifest-path gwbench/Cargo.toml
+
 # 3. Formatting (skip if rustfmt is not installed).
 if cargo fmt --version >/dev/null 2>&1; then
     run_step "fmt" cargo fmt --check

@@ -5,8 +5,8 @@
 //! Installs fan out to every device; traffic spreads by flow-hash ECMP.
 
 use sailfish_net::{FiveTuple, GatewayPacket, Vni};
+use sailfish_snat::TrackerConfig;
 use sailfish_tables::alpm::AlpmConfig;
-use sailfish_tables::snat::SnatConfig;
 use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
 use sailfish_tables::Result as TableResult;
 use sailfish_xgw_h::{HwDecision, XgwH};
@@ -155,7 +155,7 @@ impl SwCluster {
         nodes: usize,
         ecmp_max: usize,
         node_config: XgwX86Config,
-        snat: SnatConfig,
+        snat: TrackerConfig,
     ) -> Result<Self, LbError> {
         let mut ecmp = EcmpGroup::new(ecmp_max);
         let mut list = Vec::with_capacity(nodes);
@@ -163,7 +163,7 @@ impl SwCluster {
             ecmp.add(n)?;
             list.push(SwNode {
                 engine: FluidEngine::new(node_config.clone()),
-                forwarder: SoftwareForwarder::new(SoftwareTables::new(snat.clone())),
+                forwarder: SoftwareForwarder::new(SoftwareTables::new(snat)),
             });
         }
         Ok(SwCluster { nodes: list, ecmp })
@@ -266,7 +266,8 @@ mod tests {
 
     #[test]
     fn sw_cluster_holds_full_tables() {
-        let mut sw = SwCluster::new(4, 64, XgwX86Config::default(), SnatConfig::default()).unwrap();
+        let mut sw =
+            SwCluster::new(4, 64, XgwX86Config::default(), TrackerConfig::default()).unwrap();
         sw.install_route(
             VxlanRouteKey::new(vni(1), "0.0.0.0/0".parse::<IpPrefix>().unwrap()),
             RouteTarget::InternetSnat,

@@ -25,8 +25,8 @@ use sailfish_net::packet::GatewayPacketBuilder;
 use sailfish_net::rss::Toeplitz;
 use sailfish_sim::topology::Topology;
 use sailfish_sim::workload::Flow;
+use sailfish_snat::TrackerConfig;
 use sailfish_tables::alpm::AlpmConfig;
-use sailfish_tables::snat::SnatConfig;
 use sailfish_xgw_h::{HwDecision, XgwH};
 use sailfish_xgw_x86::{CoreLoadReport, FlowRate, FluidEngine, XgwX86Config};
 
@@ -72,8 +72,9 @@ pub struct RegionConfig {
     pub capacity: ClusterCapacity,
     /// Software node envelope.
     pub x86: XgwX86Config,
-    /// SNAT pool of the software nodes.
-    pub snat: SnatConfig,
+    /// SNAT connection tracking (external pool, aging) of the software
+    /// nodes.
+    pub snat: TrackerConfig,
     /// Degrade flows with no serving hardware (directory gap after a
     /// failed install, every device of a cluster offline) to the XGW-x86
     /// path instead of black-holing them.
@@ -99,15 +100,7 @@ impl Default for RegionConfig {
             alpm: AlpmConfig::default(),
             capacity: ClusterCapacity::default(),
             x86: XgwX86Config::default(),
-            snat: SnatConfig {
-                public_ips: vec![
-                    "203.0.113.1".parse().expect("valid IPv4 literal"),
-                    "203.0.113.2".parse().expect("valid IPv4 literal"),
-                    "203.0.113.3".parse().expect("valid IPv4 literal"),
-                    "203.0.113.4".parse().expect("valid IPv4 literal"),
-                ],
-                ..SnatConfig::default()
-            },
+            snat: TrackerConfig::default(),
             degrade_to_x86: true,
             fallback_rate_bps: 40e9,
         }
@@ -333,7 +326,7 @@ impl Region {
             config.sw_nodes,
             config.ecmp_max,
             config.x86.clone(),
-            config.snat.clone(),
+            config.snat,
         )?;
         let mut directory = VniDirectory::new();
         let mut controller = Controller::new();
@@ -355,7 +348,7 @@ impl Region {
                 topology,
                 &plan,
                 backups,
-                &mut SwCluster::new(1, 64, config.x86.clone(), config.snat.clone())?,
+                &mut SwCluster::new(1, 64, config.x86.clone(), config.snat)?,
                 &mut backup_dir,
             )?;
         }

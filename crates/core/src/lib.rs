@@ -87,8 +87,8 @@ pub mod prelude {
     pub use sailfish_net::{FiveTuple, GatewayPacket, IpPrefix, IpProtocol, MacAddr, Vni};
     pub use sailfish_sim::topology::{Topology, TopologyConfig};
     pub use sailfish_sim::workload::{festival_profile, generate_flows, WorkloadConfig};
+    pub use sailfish_snat::TrackerConfig;
     pub use sailfish_tables::alpm::AlpmConfig;
-    pub use sailfish_tables::snat::SnatConfig;
     pub use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
     pub use sailfish_xgw_h::{HwDecision, XgwH};
     pub use sailfish_xgw_x86::{SoftwareForwarder, XgwX86Config};

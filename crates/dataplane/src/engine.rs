@@ -1,19 +1,16 @@
 //! The counted table walk.
 //!
-//! [`walk`] executes the same folded-program decision logic as
-//! [`sailfish_xgw_h::XgwH::classify`], but over the table set directly and
-//! with a [`TableCounters`] update per stage: each single-step LPM lookup,
-//! each peer-VPC recirculation and each VM-NC digest probe is visible to
-//! the caller the way a switch pipeline exposes per-stage counters. A
-//! property test pins `walk` to `classify` — the two must always agree.
+//! [`walk`] is the folded program's decision logic from
+//! `sailfish_xgw_h` (the same function `XgwH::classify` runs with a no-op
+//! sink). Here it runs with [`TableCounters`] as its [`StageSink`], so
+//! each single-step LPM lookup, each peer-VPC recirculation and each
+//! VM-NC digest probe is counted, and [`walk_cost_ns`] turns those
+//! counts into virtual time.
 
-use sailfish_net::GatewayPacket;
-use sailfish_tables::acl::AclAction;
 use sailfish_tables::digest::DigestLookup;
-use sailfish_tables::types::RouteTarget;
-use sailfish_xgw_h::program::{HwDropReason, PuntReason};
-use sailfish_xgw_h::tables::{HardwareTables, MAX_PEER_HOPS};
-use sailfish_xgw_h::HwDecision;
+use sailfish_xgw_h::program::{PuntReason, StageSink};
+
+pub use sailfish_xgw_h::walk;
 
 use crate::counters::TableCounters;
 
@@ -46,90 +43,42 @@ pub mod cost {
     pub const BATCH_OVERHEAD_NS: u64 = 120;
 }
 
-/// Walks one packet through the hardware tables, counting each stage.
-/// Behaviorally identical to `XgwH::classify`.
-pub fn walk(
-    tables: &HardwareTables,
-    packet: &GatewayPacket,
-    counters: &mut TableCounters,
-) -> HwDecision {
-    let tuple = packet.five_tuple();
-    if tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
-        counters.acl_denied += 1;
-        return HwDecision::Drop(HwDropReason::AclDeny);
+impl StageSink for TableCounters {
+    fn acl_deny(&mut self) {
+        self.acl_denied += 1;
     }
 
-    // Manual peer-chain resolution so each recirculation is counted.
-    let mut current = packet.vni;
-    let mut resolved = None;
-    for _ in 0..=MAX_PEER_HOPS {
-        counters.route_lookups += 1;
-        match tables.routes.lookup(current, packet.inner.dst_ip) {
-            None => {
-                counters.route_misses += 1;
-                counters.punt_no_route += 1;
-                return HwDecision::PuntToX86 {
-                    packet: *packet,
-                    reason: PuntReason::NoHwRoute,
-                };
-            }
-            Some(RouteTarget::Peer(next)) => {
-                counters.route_hits += 1;
-                counters.peer_hops += 1;
-                current = next;
-            }
-            Some(target) => {
-                counters.route_hits += 1;
-                resolved = Some((current, target));
-                break;
-            }
+    fn route_lookup(&mut self, hit: bool) {
+        self.route_lookups += 1;
+        if hit {
+            self.route_hits += 1;
+        } else {
+            self.route_misses += 1;
         }
     }
-    let Some((final_vni, target)) = resolved else {
-        counters.loop_drops += 1;
-        return HwDecision::Drop(HwDropReason::RoutingLoop);
-    };
 
-    match target {
-        RouteTarget::Local => {
-            let (nc, trace) = tables.vm_nc.lookup_traced(final_vni, packet.inner.dst_ip);
-            match trace {
-                DigestLookup::HitMain => counters.vm_hit_main += 1,
-                DigestLookup::HitConflict => counters.vm_hit_conflict += 1,
-                DigestLookup::Miss => counters.vm_miss += 1,
-            }
-            match nc {
-                Some(nc) => {
-                    let mut out = *packet;
-                    out.outer.dst_ip = nc.ip;
-                    out.vni = final_vni;
-                    HwDecision::ToNc { packet: out, nc }
-                }
-                None => {
-                    counters.punt_no_vm += 1;
-                    HwDecision::PuntToX86 {
-                        packet: *packet,
-                        reason: PuntReason::NoVmMapping,
-                    }
-                }
-            }
+    fn peer_hop(&mut self) {
+        self.peer_hops += 1;
+    }
+
+    fn routing_loop(&mut self) {
+        self.loop_drops += 1;
+    }
+
+    fn vm_probe(&mut self, plane: DigestLookup) {
+        match plane {
+            DigestLookup::HitMain => self.vm_hit_main += 1,
+            DigestLookup::HitConflict => self.vm_hit_conflict += 1,
+            DigestLookup::Miss => self.vm_miss += 1,
         }
-        RouteTarget::CrossRegion(region) => HwDecision::ToRegion {
-            region,
-            vni: final_vni,
-        },
-        RouteTarget::Idc(idc) => HwDecision::ToIdc {
-            idc,
-            vni: final_vni,
-        },
-        RouteTarget::InternetSnat => {
-            counters.punt_snat += 1;
-            HwDecision::PuntToX86 {
-                packet: *packet,
-                reason: PuntReason::SnatRequired,
-            }
+    }
+
+    fn punt(&mut self, reason: PuntReason) {
+        match reason {
+            PuntReason::NoHwRoute => self.punt_no_route += 1,
+            PuntReason::NoVmMapping => self.punt_no_vm += 1,
+            PuntReason::SnatRequired => self.punt_snat += 1,
         }
-        RouteTarget::Peer(_) => unreachable!("peer targets are consumed by the loop"),
     }
 }
 
@@ -152,11 +101,10 @@ mod tests {
     use super::*;
     use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::{IpPrefix, Vni};
-    use sailfish_tables::types::{IdcId, NcAddr, RegionId, VxlanRouteKey};
-    use sailfish_util::check;
-    use sailfish_util::rand::rngs::Xoshiro256pp;
-    use sailfish_util::rand::Rng;
-    use sailfish_xgw_h::XgwH;
+    use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+    use sailfish_xgw_h::program::HwDropReason;
+    use sailfish_xgw_h::tables::MAX_PEER_HOPS;
+    use sailfish_xgw_h::{HwDecision, XgwH};
 
     fn vni(v: u32) -> Vni {
         Vni::from_const(v)
@@ -164,112 +112,6 @@ mod tests {
 
     fn prefix(s: &str) -> IpPrefix {
         s.parse().unwrap()
-    }
-
-    /// Builds a random but structured table set: a handful of VNIs with
-    /// local subnets, peer chains (including a deliberate loop), external
-    /// targets and partial VM coverage.
-    fn random_gateway(rng: &mut Xoshiro256pp) -> XgwH {
-        let mut g = XgwH::with_defaults();
-        let vnis = 4 + rng.gen_range(0..4u32);
-        for v in 0..vnis {
-            let id = vni(100 + v);
-            g.tables
-                .routes
-                .insert(
-                    VxlanRouteKey::new(id, prefix(&format!("10.{v}.0.0/16"))),
-                    RouteTarget::Local,
-                )
-                .unwrap();
-            // Peer chain to the next VNI; last one loops back to make the
-            // recirculation bound reachable.
-            let next = vni(100 + (v + 1) % vnis);
-            g.tables
-                .routes
-                .insert(
-                    VxlanRouteKey::new(id, prefix("172.20.0.0/16")),
-                    RouteTarget::Peer(next),
-                )
-                .unwrap();
-            if rng.gen_bool(0.5) {
-                g.tables
-                    .routes
-                    .insert(
-                        VxlanRouteKey::new(id, prefix("0.0.0.0/0")),
-                        RouteTarget::InternetSnat,
-                    )
-                    .unwrap();
-            }
-            if rng.gen_bool(0.3) {
-                g.tables
-                    .routes
-                    .insert(
-                        VxlanRouteKey::new(id, prefix("192.168.0.0/16")),
-                        RouteTarget::CrossRegion(RegionId(v)),
-                    )
-                    .unwrap();
-            }
-            if rng.gen_bool(0.3) {
-                g.tables
-                    .routes
-                    .insert(
-                        VxlanRouteKey::new(id, prefix("172.16.0.0/13")),
-                        RouteTarget::Idc(IdcId(v)),
-                    )
-                    .unwrap();
-            }
-            // VM coverage with gaps.
-            for host in 1..20u32 {
-                if host % 3 == 0 {
-                    continue;
-                }
-                let ip = format!("10.{v}.0.{host}").parse().unwrap();
-                g.tables
-                    .add_vm(
-                        id,
-                        ip,
-                        NcAddr::new(format!("10.200.{v}.{host}").parse().unwrap()),
-                    )
-                    .unwrap();
-            }
-        }
-        g
-    }
-
-    fn random_packet(rng: &mut Xoshiro256pp) -> GatewayPacket {
-        let v = vni(100 + rng.gen_range(0..10u32));
-        let dst: core::net::IpAddr = match rng.gen_range(0..6u8) {
-            0 => format!(
-                "10.{}.0.{}",
-                rng.gen_range(0..8u32),
-                rng.gen_range(0..32u32)
-            )
-            .parse()
-            .unwrap(),
-            1 => "172.20.1.1".parse().unwrap(),
-            2 => "192.168.3.4".parse().unwrap(),
-            3 => "172.17.0.1".parse().unwrap(),
-            4 => "8.8.8.8".parse().unwrap(),
-            _ => "203.0.113.7".parse().unwrap(),
-        };
-        GatewayPacketBuilder::new(v, "10.0.0.2".parse().unwrap(), dst).build()
-    }
-
-    #[test]
-    fn walk_agrees_with_classify() {
-        check::run("walk_agrees_with_classify", 64, |rng| {
-            let g = random_gateway(rng);
-            let mut counters = TableCounters::default();
-            for _ in 0..64 {
-                let p = random_packet(rng);
-                let expected = g.classify(&p);
-                let got = walk(&g.tables, &p, &mut counters);
-                assert!(got == expected, "walk {got:?} != classify {expected:?}");
-            }
-            // The counters must have seen every packet's routing stage
-            // except ACL denies (none are configured here).
-            assert!(counters.route_lookups >= 64, "lookups {counters:?}");
-        });
     }
 
     #[test]

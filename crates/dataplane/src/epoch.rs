@@ -337,21 +337,30 @@ impl EpochCell {
 
     /// Atomically publishes a staged state, returning its epoch.
     ///
+    /// Only the pointer swap happens under the write lock. The replaced
+    /// state is released after the lock is dropped, so freeing a
+    /// region-scale epoch never stalls `pin()`; if a caller still pins
+    /// it, it lives on until that pin is dropped.
+    ///
     /// Panics if the staged epoch does not advance past the published one
     /// or the staged state is internally torn — both are control-plane
     /// bugs that must never reach the workers.
     pub fn publish(&self, state: EpochState) -> u64 {
         assert!(state.tags_consistent(), "staged state has torn epoch tags");
-        let mut cur = self.current.write().expect("epoch lock poisoned");
-        assert!(
-            state.epoch > cur.epoch,
-            "epoch must advance: staged {} vs published {}",
-            state.epoch,
-            cur.epoch
-        );
         let epoch = state.epoch;
-        *cur = Arc::new(state);
+        let next = Arc::new(state);
+        let retired = {
+            let mut cur = self.current.write().expect("epoch lock poisoned");
+            assert!(
+                epoch > cur.epoch,
+                "epoch must advance: staged {} vs published {}",
+                epoch,
+                cur.epoch
+            );
+            core::mem::replace(&mut *cur, next)
+        };
         self.swaps.fetch_add(1, Ordering::Relaxed);
+        drop(retired);
         epoch
     }
 
@@ -387,8 +396,10 @@ mod tests {
         assert_eq!(cell.swaps(), 0);
         let pinned = cell.pin();
         cell.publish(EpochState::build(&topo, &config, 1));
-        // The old pin stays alive and untouched after the swap.
+        // The old pin stays alive and untouched after the swap, and the
+        // cell no longer holds the retired state.
         assert_eq!(pinned.epoch, 0);
+        assert_eq!(Arc::strong_count(&pinned), 1);
         assert_eq!(cell.pin().epoch, 1);
         assert_eq!(cell.swaps(), 1);
     }

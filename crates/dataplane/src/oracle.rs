@@ -225,24 +225,10 @@ mod tests {
 
     #[test]
     fn internet_decisions_ignore_binding() {
-        use sailfish_tables::snat::{SnatConfig, SnatTable};
-        let mut table = SnatTable::new(SnatConfig::default());
-        let t1 = sailfish_net::FiveTuple::new(
-            "10.0.0.1".parse().unwrap(),
-            "8.8.8.8".parse().unwrap(),
-            sailfish_net::IpProtocol::Udp,
-            1111,
-            53,
-        );
-        let t2 = sailfish_net::FiveTuple::new(
-            "10.0.0.2".parse().unwrap(),
-            "8.8.8.8".parse().unwrap(),
-            sailfish_net::IpProtocol::Udp,
-            2222,
-            53,
-        );
-        let b1 = table.translate_outbound(t1, 0).unwrap();
-        let b2 = table.translate_outbound(t2, 0).unwrap();
+        use sailfish_snat::PublicBinding;
+        let ip = core::net::Ipv4Addr::new(198, 51, 100, 1);
+        let b1 = PublicBinding { ip, port: 1024 };
+        let b2 = PublicBinding { ip, port: 1025 };
         let d1 = PathDecision::from_software(&Decision::ToInternet { binding: b1 });
         let d2 = PathDecision::from_software(&Decision::ToInternet { binding: b2 });
         assert_eq!(d1, d2);

@@ -23,9 +23,9 @@
 //! - [`pooled`] — dual-stack IPv4/IPv6 pooling wrappers ("IPv4/IPv6 table
 //!   pooling").
 //!
-//! Service tables: [`snat::SnatTable`] (the O(100M)-session stateful table
-//! that stays on XGW-x86), [`acl::AclTable`], [`meter::Meter`],
-//! [`counter::CounterArray`].
+//! Service tables: [`acl::AclTable`], [`meter::Meter`],
+//! [`counter::CounterArray`]. The stateful SNAT session table lives in
+//! `sailfish-snat`, whose connection tracker XGW-x86 runs.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +38,6 @@ pub mod exact;
 pub mod lpm;
 pub mod meter;
 pub mod pooled;
-pub mod snat;
 pub mod tcam;
 pub mod types;
 pub mod vm_nc;

@@ -22,5 +22,5 @@ pub mod layout;
 pub mod program;
 pub mod tables;
 
-pub use program::{HwDecision, PuntReason, XgwH};
+pub use program::{walk, HwDecision, PuntReason, StageSink, XgwH};
 pub use tables::HardwareTables;

@@ -18,11 +18,11 @@
 use sailfish_net::{GatewayPacket, Vni};
 use sailfish_tables::acl::AclAction;
 use sailfish_tables::alpm::AlpmConfig;
+use sailfish_tables::digest::DigestLookup;
 use sailfish_tables::meter::Meter;
 use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget};
-use sailfish_tables::Error as TableError;
 
-use crate::tables::HardwareTables;
+use crate::tables::{HardwareTables, MAX_PEER_HOPS};
 
 /// Why a packet leaves for the software gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +81,97 @@ pub enum HwDecision {
     },
     /// Dropped in hardware.
     Drop(HwDropReason),
+}
+
+/// Per-stage events of [`walk`], the way a switch pipeline exposes
+/// per-stage counters. Every method defaults to a no-op, so `()` is the
+/// sink that counts nothing and the walk compiles down to the bare
+/// decision logic.
+pub trait StageSink {
+    /// The ACL denied the packet.
+    fn acl_deny(&mut self) {}
+    /// One single-step LPM lookup; `hit` is whether a route matched.
+    fn route_lookup(&mut self, _hit: bool) {}
+    /// One peer-VPC recirculation.
+    fn peer_hop(&mut self) {}
+    /// The peer chain exceeded [`MAX_PEER_HOPS`].
+    fn routing_loop(&mut self) {}
+    /// One VM-NC digest probe and the plane that answered it.
+    fn vm_probe(&mut self, _plane: DigestLookup) {}
+    /// The packet leaves for XGW-x86.
+    fn punt(&mut self, _reason: PuntReason) {}
+}
+
+impl StageSink for () {}
+
+/// Walks one packet through the hardware tables in folded-program order
+/// — ACL, VXLAN routing with peer recirculation, VM-NC mapping — and
+/// reports each stage to `sink`. The punt meter is not charged here.
+pub fn walk<S: StageSink>(
+    tables: &HardwareTables,
+    packet: &GatewayPacket,
+    sink: &mut S,
+) -> HwDecision {
+    let tuple = packet.five_tuple();
+    if tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
+        sink.acl_deny();
+        return HwDecision::Drop(HwDropReason::AclDeny);
+    }
+    let punt = |sink: &mut S, reason| {
+        sink.punt(reason);
+        HwDecision::PuntToX86 {
+            packet: *packet,
+            reason,
+        }
+    };
+
+    let mut current = packet.vni;
+    let mut resolved = None;
+    for _ in 0..=MAX_PEER_HOPS {
+        let hit = tables.routes.lookup(current, packet.inner.dst_ip);
+        sink.route_lookup(hit.is_some());
+        match hit {
+            None => return punt(sink, PuntReason::NoHwRoute),
+            Some(RouteTarget::Peer(next)) => {
+                sink.peer_hop();
+                current = next;
+            }
+            Some(target) => {
+                resolved = Some((current, target));
+                break;
+            }
+        }
+    }
+    let Some((final_vni, target)) = resolved else {
+        sink.routing_loop();
+        return HwDecision::Drop(HwDropReason::RoutingLoop);
+    };
+
+    match target {
+        RouteTarget::Local => {
+            let (nc, plane) = tables.vm_nc.lookup_traced(final_vni, packet.inner.dst_ip);
+            sink.vm_probe(plane);
+            match nc {
+                Some(nc) => {
+                    let mut out = *packet;
+                    out.outer.dst_ip = nc.ip;
+                    out.vni = final_vni;
+                    HwDecision::ToNc { packet: out, nc }
+                }
+                None => punt(sink, PuntReason::NoVmMapping),
+            }
+        }
+        RouteTarget::CrossRegion(region) => HwDecision::ToRegion {
+            region,
+            vni: final_vni,
+        },
+        RouteTarget::Idc(idc) => HwDecision::ToIdc {
+            idc,
+            vni: final_vni,
+        },
+        RouteTarget::InternetSnat => punt(sink, PuntReason::SnatRequired),
+        RouteTarget::Peer(_) => unreachable!("peer targets are consumed by the loop"),
+    }
 }
 
 /// Per-gateway runtime statistics.
@@ -218,53 +309,7 @@ impl XgwH {
     /// would take, without touching counters or the punt meter. Used by
     /// the fluid region simulation, which does its own rate accounting.
     pub fn classify(&self, packet: &GatewayPacket) -> HwDecision {
-        let tuple = packet.five_tuple();
-        if self.tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
-            return HwDecision::Drop(HwDropReason::AclDeny);
-        }
-        let resolution = match self.tables.routes.resolve(packet.vni, packet.inner.dst_ip) {
-            Ok(r) => r,
-            Err(TableError::RoutingLoop) => return HwDecision::Drop(HwDropReason::RoutingLoop),
-            Err(_) => {
-                return HwDecision::PuntToX86 {
-                    packet: *packet,
-                    reason: PuntReason::NoHwRoute,
-                }
-            }
-        };
-        match resolution.target {
-            RouteTarget::Local => {
-                match self
-                    .tables
-                    .vm_nc
-                    .lookup(resolution.final_vni, packet.inner.dst_ip)
-                {
-                    Some(nc) => {
-                        let mut out = *packet;
-                        out.outer.dst_ip = nc.ip;
-                        out.vni = resolution.final_vni;
-                        HwDecision::ToNc { packet: out, nc }
-                    }
-                    None => HwDecision::PuntToX86 {
-                        packet: *packet,
-                        reason: PuntReason::NoVmMapping,
-                    },
-                }
-            }
-            RouteTarget::CrossRegion(region) => HwDecision::ToRegion {
-                region,
-                vni: resolution.final_vni,
-            },
-            RouteTarget::Idc(idc) => HwDecision::ToIdc {
-                idc,
-                vni: resolution.final_vni,
-            },
-            RouteTarget::InternetSnat => HwDecision::PuntToX86 {
-                packet: *packet,
-                reason: PuntReason::SnatRequired,
-            },
-            RouteTarget::Peer(_) => unreachable!("resolve() never returns Peer"),
-        }
+        walk(&self.tables, packet, &mut ())
     }
 
     /// Processes one packet through the folded program, updating per-pipe

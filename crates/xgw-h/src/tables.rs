@@ -13,25 +13,14 @@ use sailfish_net::Vni;
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
 use sailfish_tables::counter::CounterArray;
-use sailfish_tables::error::{Error, Result};
+use sailfish_tables::error::Result;
 use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
 use sailfish_tables::vm_nc::VmNcTable;
 
-/// Maximum peer-VPC hops in hardware; mirrors the software bound.
+/// Maximum peer-VPC hops in hardware; mirrors the software bound. Each
+/// hop is a pipeline recirculation, so the program bounds it tightly.
 pub const MAX_PEER_HOPS: usize = 8;
-
-/// Result of the hardware routing stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HwResolution {
-    /// VNI of the final (non-peer) match.
-    pub final_vni: Vni,
-    /// Terminal target.
-    pub target: RouteTarget,
-    /// Peer hops followed (each one is a pipeline recirculation in
-    /// hardware, so the program bounds it tightly).
-    pub hops: usize,
-}
 
 /// The hardware VXLAN routing table: per-VNI pooled ALPM.
 ///
@@ -88,25 +77,6 @@ impl HwRoutingTable {
     /// Single-step LPM within one VNI, through the compressed path.
     pub fn lookup(&self, vni: Vni, dst: IpAddr) -> Option<RouteTarget> {
         self.per_vni.get(&vni)?.lookup(dst).map(|(_, t)| *t)
-    }
-
-    /// Full resolution following peer chains.
-    pub fn resolve(&self, vni: Vni, dst: IpAddr) -> Result<HwResolution> {
-        let mut current = vni;
-        for hops in 0..=MAX_PEER_HOPS {
-            match self.lookup(current, dst) {
-                None => return Err(Error::NotFound),
-                Some(RouteTarget::Peer(next)) => current = next,
-                Some(target) => {
-                    return Ok(HwResolution {
-                        final_vni: current,
-                        target,
-                        hops,
-                    })
-                }
-            }
-        }
-        Err(Error::RoutingLoop)
     }
 
     /// Physical-layout statistics with **VNI grouping**.
@@ -287,50 +257,84 @@ impl Default for HardwareTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{walk, HwDecision, HwDropReason, StageSink};
+    use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::IpPrefix;
 
     fn key(vni: u32, p: &str) -> VxlanRouteKey {
         VxlanRouteKey::new(Vni::from_const(vni), p.parse::<IpPrefix>().unwrap())
     }
 
+    /// Counts peer recirculations, the one stage these tests look at.
+    #[derive(Default)]
+    struct Hops(usize);
+
+    impl StageSink for Hops {
+        fn peer_hop(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    fn packet(vni: u32, dst: &str) -> sailfish_net::GatewayPacket {
+        GatewayPacketBuilder::new(
+            Vni::from_const(vni),
+            "10.0.0.1".parse().unwrap(),
+            dst.parse().unwrap(),
+        )
+        .build()
+    }
+
     #[test]
     fn resolve_through_compressed_path() {
-        let mut t = HwRoutingTable::new(AlpmConfig { bucket_capacity: 2 });
-        t.insert(
-            key(1, "192.168.0.0/16"),
-            RouteTarget::Peer(Vni::from_const(2)),
-        )
-        .unwrap();
-        t.insert(key(2, "192.168.0.0/16"), RouteTarget::Local)
+        let mut t = HardwareTables::new(AlpmConfig { bucket_capacity: 2 });
+        t.routes
+            .insert(
+                key(1, "192.168.0.0/16"),
+                RouteTarget::Peer(Vni::from_const(2)),
+            )
+            .unwrap();
+        t.routes
+            .insert(key(2, "192.168.0.0/16"), RouteTarget::Local)
             .unwrap();
         // Enough routes to force partition splits and re-carving in VNI 1.
         for i in 0..32u8 {
-            t.insert(key(1, &format!("10.{i}.0.0/16")), RouteTarget::Local)
+            t.routes
+                .insert(key(1, &format!("10.{i}.0.0/16")), RouteTarget::Local)
                 .unwrap();
         }
-        t.audit().unwrap();
-        let r = t
-            .resolve(Vni::from_const(1), "192.168.3.4".parse().unwrap())
+        t.routes.audit().unwrap();
+        let nc = NcAddr::new("10.200.0.4".parse().unwrap());
+        t.add_vm(Vni::from_const(2), "192.168.3.4".parse().unwrap(), nc)
             .unwrap();
-        assert_eq!(r.final_vni, Vni::from_const(2));
-        assert_eq!(r.target, RouteTarget::Local);
-        assert_eq!(r.hops, 1);
-        let stats = t.alpm_stats();
+        let mut hops = Hops::default();
+        match walk(&t, &packet(1, "192.168.3.4"), &mut hops) {
+            HwDecision::ToNc { packet, nc: got } => {
+                assert_eq!(packet.vni, Vni::from_const(2), "resolved in the peer");
+                assert_eq!(got, nc);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(hops.0, 1);
+        let stats = t.routes.alpm_stats();
         assert!(stats.tcam_entries > 0);
-        assert!(stats.tcam_entries < t.len());
+        assert!(stats.tcam_entries < t.routes.len());
     }
 
     #[test]
     fn routing_loop_bounded() {
-        let mut t = HwRoutingTable::default();
-        t.insert(key(1, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(2)))
+        let mut t = HardwareTables::default();
+        t.routes
+            .insert(key(1, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(2)))
             .unwrap();
-        t.insert(key(2, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(1)))
+        t.routes
+            .insert(key(2, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(1)))
             .unwrap();
+        let mut hops = Hops::default();
         assert_eq!(
-            t.resolve(Vni::from_const(1), "10.1.1.1".parse().unwrap()),
-            Err(Error::RoutingLoop)
+            walk(&t, &packet(1, "10.1.1.1"), &mut hops),
+            HwDecision::Drop(HwDropReason::RoutingLoop)
         );
+        assert_eq!(hops.0, MAX_PEER_HOPS + 1);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! volatile tables ... It also stores large-sized stateful tables that
 //! cannot be easily compressed into XGW-H" (§4.2) — so this forwarder
 //! implements the complete decision logic: ACL, VXLAN routing with peer
-//! resolution, VM-NC mapping, SNAT for Internet-bound flows, and
-//! cross-region/IDC handoff.
+//! resolution, VM-NC mapping, SNAT for Internet-bound flows (through the
+//! [`crate::snat`] stage), and cross-region/IDC handoff.
 
 use sailfish_net::{GatewayPacket, Vni};
+use sailfish_snat::{ConnTracker, PublicBinding, TrackerConfig};
 use sailfish_tables::acl::{AclAction, AclTable};
-use sailfish_tables::snat::{Binding, SnatConfig, SnatTable};
 use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget};
 use sailfish_tables::vm_nc::VmNcTable;
 use sailfish_tables::vxlan_route::VxlanRoutingTable;
@@ -26,7 +26,7 @@ pub enum DropReason {
     NoVmMapping,
     /// An ACL rule denied the flow.
     AclDeny,
-    /// The SNAT port pool or session table is exhausted.
+    /// The SNAT port pool has no free block for a new session.
     SnatExhausted,
 }
 
@@ -59,7 +59,7 @@ pub enum Decision {
     /// with the inner source rewritten to the public binding (Fig 11).
     ToInternet {
         /// The allocated or refreshed public binding.
-        binding: Binding,
+        binding: PublicBinding,
     },
     /// Dropped.
     Drop(DropReason),
@@ -72,19 +72,20 @@ pub struct SoftwareTables {
     pub routes: VxlanRoutingTable,
     /// VM-NC mapping table.
     pub vm_nc: VmNcTable,
-    /// The stateful SNAT session table (O(100M) entries in production).
-    pub snat: SnatTable,
+    /// The stateful SNAT connection tracker (O(100M) sessions in
+    /// production), keyed by `(VNI, inner 5-tuple)`.
+    pub snat: ConnTracker,
     /// Per-tenant ACLs.
     pub acl: AclTable,
 }
 
 impl SoftwareTables {
     /// Empty tables with a default-permit ACL and the given SNAT pool.
-    pub fn new(snat: SnatConfig) -> Self {
+    pub fn new(snat: TrackerConfig) -> Self {
         SoftwareTables {
             routes: VxlanRoutingTable::new(),
             vm_nc: VmNcTable::new(),
-            snat: SnatTable::new(snat),
+            snat: ConnTracker::new(snat),
             acl: AclTable::new(AclAction::Permit, None),
         }
     }
@@ -92,7 +93,7 @@ impl SoftwareTables {
 
 impl Default for SoftwareTables {
     fn default() -> Self {
-        Self::new(SnatConfig::default())
+        Self::new(TrackerConfig::default())
     }
 }
 
@@ -144,10 +145,9 @@ impl SoftwareForwarder {
                 idc,
                 vni: resolution.final_vni,
             },
-            RouteTarget::InternetSnat => match self.tables.snat.translate_outbound(tuple, now_ns) {
-                Ok(binding) => Decision::ToInternet { binding },
-                Err(_) => Decision::Drop(DropReason::SnatExhausted),
-            },
+            RouteTarget::InternetSnat => {
+                crate::snat::translate(&mut self.tables.snat, packet.vni, tuple, now_ns)
+            }
             RouteTarget::Peer(_) => unreachable!("resolve() never returns Peer"),
         }
     }
@@ -158,6 +158,7 @@ mod tests {
     use super::*;
     use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::IpPrefix;
+    use sailfish_snat::PoolConfig;
     use sailfish_tables::acl::AclRule;
     use sailfish_tables::types::VxlanRouteKey;
 
@@ -254,7 +255,7 @@ mod tests {
         let mut f = forwarder();
         match f.process(&packet("93.184.216.34"), 0) {
             Decision::ToInternet { binding } => {
-                assert!(binding.public_port >= 1024);
+                assert!(binding.port >= 1024);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -262,7 +263,7 @@ mod tests {
         let d1 = f.process(&packet("93.184.216.34"), 1);
         let d2 = f.process(&packet("93.184.216.34"), 2);
         assert_eq!(d1, d2);
-        assert_eq!(f.tables.snat.len(), 1);
+        assert_eq!(f.tables.snat.live_connections(), 1);
     }
 
     #[test]
@@ -351,9 +352,15 @@ mod tests {
 
     #[test]
     fn snat_exhaustion_drops() {
-        let mut tables = SoftwareTables::new(SnatConfig {
-            port_range: (1024, 1024),
-            ..SnatConfig::default()
+        let mut tables = SoftwareTables::new(TrackerConfig {
+            pool: PoolConfig {
+                external_ips: 1,
+                port_lo: 1024,
+                port_hi: 1024,
+                block_size: 1,
+                ..PoolConfig::default()
+            },
+            ..TrackerConfig::default()
         });
         tables.routes.insert(
             VxlanRouteKey::new(vni(100), prefix("0.0.0.0/0")),

@@ -17,7 +17,8 @@
 //!   (Fig 4/Fig 7) while the box-level load stays balanced (Fig 6),
 //! - per-core finite capacity converts overload into packet loss (Fig 5),
 //! - full software tables, including the stateful SNAT table that cannot
-//!   fit on the hardware gateway ([`forward::SoftwareForwarder`]),
+//!   fit on the hardware gateway ([`forward::SoftwareForwarder`], whose
+//!   [`snat`] stage tracks sessions per tenant),
 //! - the single-node performance envelope of Fig 18
 //!   ([`config::XgwX86Config`]).
 
@@ -26,6 +27,7 @@
 pub mod config;
 pub mod cores;
 pub mod forward;
+pub mod snat;
 
 pub use config::XgwX86Config;
 pub use cores::{CoreLoadReport, FlowRate, FluidEngine};

@@ -6,6 +6,8 @@
 //! Run with: `cargo run --example snat_hw_sw`
 
 use sailfish::prelude::*;
+use sailfish_sim::conn::ConnSignal;
+use sailfish_snat::SnatVerdict;
 use sailfish_xgw_h::PuntReason;
 use sailfish_xgw_x86::Decision;
 
@@ -60,10 +62,8 @@ fn main() {
     let binding = match sw.process(&punted, 0) {
         Decision::ToInternet { binding } => {
             println!(
-                "XGW-x86: session {} translated to {}:{}",
-                punted.five_tuple(),
-                binding.public_ip,
-                binding.public_port
+                "XGW-x86: session {} of VPC {vpc} translated to {binding}",
+                punted.five_tuple()
             );
             binding
         }
@@ -72,16 +72,17 @@ fn main() {
 
     // Step 3: the Internet responds to the public binding (blue arrow);
     // XGW-x86 translates it back without touching XGW-H.
-    let original = sw
-        .tables
-        .snat
-        .translate_inbound(
-            (binding.public_ip, binding.public_port),
-            ("93.184.216.34".parse().unwrap(), 443),
-            IpProtocol::Tcp,
-            1,
-        )
-        .expect("response maps back to the tenant session");
+    let original = match sw.tables.snat.inbound(
+        binding,
+        "93.184.216.34".parse().unwrap(),
+        443,
+        IpProtocol::Tcp,
+        ConnSignal::Payload,
+        1,
+    ) {
+        SnatVerdict::InboundMatched { internal } => internal,
+        other => panic!("response must map back to the tenant session: {other:?}"),
+    };
     println!("XGW-x86: response mapped back to {original}");
     assert_eq!(original, request.five_tuple());
 
@@ -110,8 +111,8 @@ fn main() {
     // Session bookkeeping.
     println!(
         "SNAT table: {} live sessions, {} allocated total",
-        sw.tables.snat.len(),
-        sw.tables.snat.allocated_total()
+        sw.tables.snat.live_connections(),
+        sw.tables.snat.counters().new_bindings
     );
     println!("snat_hw_sw OK");
 }

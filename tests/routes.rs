@@ -4,6 +4,8 @@
 
 use sailfish::prelude::*;
 use sailfish_cluster::controller::ClusterCapacity;
+use sailfish_sim::conn::ConnSignal;
+use sailfish_snat::SnatVerdict;
 use sailfish_xgw_h::PuntReason;
 use sailfish_xgw_x86::Decision;
 
@@ -123,18 +125,20 @@ fn vm_to_internet_via_snat_and_back() {
         other => panic!("unexpected {other:?}"),
     };
     // And the response finds its way back.
-    let back = region.sw.nodes[node]
-        .forwarder
-        .tables
-        .snat
-        .translate_inbound(
-            (binding.public_ip, binding.public_port),
-            (dst, 443),
-            IpProtocol::Tcp,
-            1,
-        )
-        .unwrap();
-    assert_eq!(back, punted.five_tuple());
+    let back = region.sw.nodes[node].forwarder.tables.snat.inbound(
+        binding,
+        dst,
+        443,
+        IpProtocol::Tcp,
+        ConnSignal::Payload,
+        1,
+    );
+    assert_eq!(
+        back,
+        SnatVerdict::InboundMatched {
+            internal: punted.five_tuple()
+        }
+    );
 }
 
 #[test]
